@@ -6,20 +6,71 @@ use std::fmt;
 
 use nimblock_workload::Scenario;
 
-/// An argument-parsing error; the message is user-facing.
+/// A CLI error. Usage mistakes and failed commands carry a user-facing
+/// message; input the testbed cannot model is typed, so the binary can
+/// tell the two apart by exit code.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CliError(pub String);
+pub enum CliError {
+    /// A usage error or a failed command (exit code 1).
+    Message(String),
+    /// Bad input, rejected before anything runs (exit code 2).
+    Input(InputError),
+}
+
+impl CliError {
+    /// The process exit code for this error: 2 for bad input, 1 otherwise.
+    pub fn exit_code(&self) -> u8 {
+        match self {
+            CliError::Message(_) => 1,
+            CliError::Input(_) => 2,
+        }
+    }
+}
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        match self {
+            CliError::Message(message) => f.write_str(message),
+            CliError::Input(input) => input.fmt(f),
+        }
     }
 }
 
 impl Error for CliError {}
 
+/// Input the testbed cannot model, caught at the CLI boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InputError {
+    /// `--slots 0`: a device needs at least one reconfigurable slot.
+    ZeroSlots,
+}
+
+impl fmt::Display for InputError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InputError::ZeroSlots => {
+                f.write_str("--slots must be at least 1 (a device needs a slot)")
+            }
+        }
+    }
+}
+
+impl From<InputError> for CliError {
+    fn from(input: InputError) -> Self {
+        CliError::Input(input)
+    }
+}
+
+/// Parses a device's `--slots` value, rejecting a slotless device.
+fn parse_slots(flag: &str, value: &str) -> Result<usize, CliError> {
+    match parse_number(flag, value)? {
+        0 => Err(InputError::ZeroSlots.into()),
+        slots => Ok(slots),
+    }
+}
+
 fn err(message: impl Into<String>) -> CliError {
-    CliError(message.into())
+    CliError::Message(message.into())
 }
 
 /// Which scheduling policy to run.
@@ -514,7 +565,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             while let Some(flag) = stream.next() {
                 match flag {
                     "--scheduler" => scheduler = SchedulerKind::parse(stream.value_for(flag)?)?,
-                    "--slots" => slots = parse_number(flag, stream.value_for(flag)?)?,
+                    "--slots" => slots = parse_slots(flag, stream.value_for(flag)?)?,
                     "--json" => json = Some(stream.value_for(flag)?.to_owned()),
                     "--gantt" => gantt = true,
                     "--metrics-out" => metrics_out = Some(stream.value_for(flag)?.to_owned()),
@@ -886,7 +937,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut slots = 10usize;
             while let Some(flag) = stream.next() {
                 match flag {
-                    "--slots" => slots = parse_number(flag, stream.value_for(flag)?)?,
+                    "--slots" => slots = parse_slots(flag, stream.value_for(flag)?)?,
                     other => parse_stimulus_flag(&mut stimulus, other, &mut stream)?,
                 }
             }
@@ -958,6 +1009,16 @@ mod tests {
         assert_eq!(run.slots, 4);
         assert_eq!(run.json.as_deref(), Some("-"));
         assert!(run.gantt);
+    }
+
+    #[test]
+    fn zero_slots_is_typed_bad_input() {
+        for line in ["run --slots 0", "compare --slots 0"] {
+            let error = parse(&argv(line)).unwrap_err();
+            assert_eq!(error, CliError::Input(InputError::ZeroSlots), "{line}");
+            assert_eq!(error.exit_code(), 2);
+        }
+        assert_eq!(parse(&argv("run --slots x")).unwrap_err().exit_code(), 1);
     }
 
     #[test]

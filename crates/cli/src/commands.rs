@@ -43,8 +43,8 @@ pub fn make_sequence(args: &StimulusArgs) -> Result<EventSequence, CliError> {
 /// Returns a [`CliError`] describing the I/O or parse failure.
 pub fn load_sequence(path: &str) -> Result<EventSequence, CliError> {
     let text = fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-    nimblock_ser::from_str(&text).map_err(|e| CliError(format!("cannot parse {path}: {e}")))
+        .map_err(|e| CliError::Message(format!("cannot read {path}: {e}")))?;
+    nimblock_ser::from_str(&text).map_err(|e| CliError::Message(format!("cannot parse {path}: {e}")))
 }
 
 /// Best-effort text of a caught panic payload.
@@ -60,9 +60,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn write_output(path: &str, contents: &str, out: &mut dyn Write) -> Result<(), CliError> {
     if path == "-" {
-        writeln!(out, "{contents}").map_err(|e| CliError(e.to_string()))
+        writeln!(out, "{contents}").map_err(|e| CliError::Message(e.to_string()))
     } else {
-        fs::write(path, contents).map_err(|e| CliError(format!("cannot write {path}: {e}")))
+        fs::write(path, contents).map_err(|e| CliError::Message(format!("cannot write {path}: {e}")))
     }
 }
 
@@ -144,9 +144,9 @@ fn engine_stimulus_trace(
 
 /// Writes an engine stimulus trace and prints the one-line receipt.
 fn write_engine_trace(path: &str, trace: &[u8], out: &mut dyn Write) -> Result<(), CliError> {
-    fs::write(path, trace).map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+    fs::write(path, trace).map_err(|e| CliError::Message(format!("cannot write {path}: {e}")))?;
     writeln!(out, "recorded stimulus trace written to {path} ({} bytes)", trace.len())
-        .map_err(|e| CliError(e.to_string()))
+        .map_err(|e| CliError::Message(e.to_string()))
 }
 
 fn run_command(args: &RunArgs, out: &mut dyn Write) -> Result<(), CliError> {
@@ -209,7 +209,7 @@ fn run_command(args: &RunArgs, out: &mut dyn Write) -> Result<(), CliError> {
                     doc.trigger = Some(format!("panic: {reason}"));
                     write_output(path, &nimblock_ser::to_string_pretty(&doc), out)?;
                 }
-                return Err(CliError(format!("simulation panicked: {reason}")));
+                return Err(CliError::Message(format!("simulation panicked: {reason}")));
             }
         }
     } else {
@@ -234,10 +234,10 @@ fn run_command(args: &RunArgs, out: &mut dyn Write) -> Result<(), CliError> {
         fmt3(summary.p99),
         fmt3(summary.max),
     )
-    .map_err(|e| CliError(e.to_string()))?;
+    .map_err(|e| CliError::Message(e.to_string()))?;
     let preemptions: u32 = report.records().iter().map(|r| r.preemptions).sum();
     writeln!(out, "  makespan: {} | preemptions: {preemptions}", report.finished_at())
-        .map_err(|e| CliError(e.to_string()))?;
+        .map_err(|e| CliError::Message(e.to_string()))?;
     let counters = report.counters();
     let hit_rate = counters
         .cache_hit_rate()
@@ -247,7 +247,7 @@ fn run_command(args: &RunArgs, out: &mut dyn Write) -> Result<(), CliError> {
         "  counters: reconfigurations {} | alloc stalls {} | bitstream cache hit rate {hit_rate}",
         counters.reconfigurations, counters.alloc_stalls,
     )
-    .map_err(|e| CliError(e.to_string()))?;
+    .map_err(|e| CliError::Message(e.to_string()))?;
 
     if args.check_invariants {
         let trace = trace.as_ref().expect("run was traced for invariant checking");
@@ -260,9 +260,9 @@ fn run_command(args: &RunArgs, out: &mut dyn Write) -> Result<(), CliError> {
                 "  invariants: ok ({} events, {} applications)",
                 verdict.events_checked, verdict.apps_seen
             )
-            .map_err(|e| CliError(e.to_string()))?;
+            .map_err(|e| CliError::Message(e.to_string()))?;
         } else {
-            writeln!(out, "{verdict}").map_err(|e| CliError(e.to_string()))?;
+            writeln!(out, "{verdict}").map_err(|e| CliError::Message(e.to_string()))?;
             // The flight-recorder payoff: the bundle carries the recent
             // windows, the event ring, and the failing app's span tree.
             if let Some(path) = args.monitor.postmortem_out.as_deref() {
@@ -280,9 +280,9 @@ fn run_command(args: &RunArgs, out: &mut dyn Write) -> Result<(), CliError> {
                 );
                 write_output(path, &nimblock_ser::to_string_pretty(&doc), out)?;
                 writeln!(out, "  post-mortem bundle written to {path}")
-                    .map_err(|e| CliError(e.to_string()))?;
+                    .map_err(|e| CliError::Message(e.to_string()))?;
             }
-            return Err(CliError(format!(
+            return Err(CliError::Message(format!(
                 "schedule violates {} invariant(s)",
                 verdict.violations.len()
             )));
@@ -299,7 +299,7 @@ fn run_command(args: &RunArgs, out: &mut dyn Write) -> Result<(), CliError> {
                 doc.windows.len(),
                 doc.alerts.len(),
             )
-            .map_err(|e| CliError(e.to_string()))?;
+            .map_err(|e| CliError::Message(e.to_string()))?;
         }
         if let Some(path) = &args.monitor.timeseries_out {
             write_output(path, &nimblock_ser::to_string_pretty(&doc), out)?;
@@ -314,7 +314,7 @@ fn run_command(args: &RunArgs, out: &mut dyn Write) -> Result<(), CliError> {
         };
         match args.trace_out.as_deref() {
             None | Some("-") => {
-                writeln!(out, "\n{rendered}").map_err(|e| CliError(e.to_string()))?
+                writeln!(out, "\n{rendered}").map_err(|e| CliError::Message(e.to_string()))?
             }
             Some(path) => write_output(path, &rendered, out)?,
         }
@@ -335,7 +335,7 @@ fn generate_command(args: &GenerateArgs, out: &mut dyn Write) -> Result<(), CliE
     write_output(&args.output, &json, out)?;
     if args.output != "-" {
         writeln!(out, "wrote {} events to {}", events.len(), args.output)
-            .map_err(|e| CliError(e.to_string()))?;
+            .map_err(|e| CliError::Message(e.to_string()))?;
     }
     Ok(())
 }
@@ -377,7 +377,7 @@ fn compare_command(args: &CompareArgs, out: &mut dyn Write) -> Result<(), CliErr
             fmt3(summary.p95),
         ]);
     }
-    write!(out, "{table}").map_err(|e| CliError(e.to_string()))
+    write!(out, "{table}").map_err(|e| CliError::Message(e.to_string()))
 }
 
 /// Renders a [`TextTable`] as a GitHub-flavoured markdown pipe table.
@@ -402,7 +402,7 @@ fn front_door_command(
     config.invocations =
         u64::try_from(args.invocations).expect("invocation count fits in u64");
     config.process = nimblock_workload::ArrivalProcess::parse(&door.arrivals)
-        .map_err(|e| CliError(format!("--arrivals: {e}")))?;
+        .map_err(|e| CliError::Message(format!("--arrivals: {e}")))?;
     config.tenants = door.tenants;
     config.tenant_policy = TenantPolicy {
         rate_per_sec: door.rate_limit,
@@ -432,7 +432,7 @@ fn front_door_command(
         };
         match door.curve_out.as_deref() {
             None | Some("-") => {
-                writeln!(out, "{rendered}").map_err(|e| CliError(e.to_string()))?
+                writeln!(out, "{rendered}").map_err(|e| CliError::Message(e.to_string()))?
             }
             Some(path) => write_output(path, &rendered, out)?,
         }
@@ -443,10 +443,10 @@ fn front_door_command(
             curve.points.len(),
             if monotone { "monotone non-increasing" } else { "NOT monotone" },
         )
-        .map_err(|e| CliError(e.to_string()))?;
+        .map_err(|e| CliError::Message(e.to_string()))?;
         for point in &curve.points {
             if !point.counters.conserves() {
-                return Err(CliError(format!(
+                return Err(CliError::Message(format!(
                     "conservation violated at load {}",
                     point.load_factor
                 )));
@@ -459,14 +459,14 @@ fn front_door_command(
         Some(path) => {
             let (report, trace) = front.run_recorded(door.load);
             fs::write(path, &trace)
-                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+                .map_err(|e| CliError::Message(format!("cannot write {path}: {e}")))?;
             writeln!(
                 out,
                 "recorded {} invocation(s) to {path} ({} bytes)",
                 report.counters.offered,
                 trace.len(),
             )
-            .map_err(|e| CliError(e.to_string()))?;
+            .map_err(|e| CliError::Message(e.to_string()))?;
             report
         }
         None => front.run_at_load(door.load),
@@ -482,7 +482,7 @@ fn front_door_command(
         door.boards,
         door.slots,
     )
-    .map_err(|e| CliError(e.to_string()))?;
+    .map_err(|e| CliError::Message(e.to_string()))?;
     writeln!(
         out,
         "  admitted {} | shed {} (backlog {}, deadline {}) | rejected {} (rate {}, quota {})",
@@ -494,13 +494,13 @@ fn front_door_command(
         counters.rejected_rate,
         counters.rejected_quota,
     )
-    .map_err(|e| CliError(e.to_string()))?;
+    .map_err(|e| CliError::Message(e.to_string()))?;
     writeln!(
         out,
         "  conservation: {} (offered = admitted + shed + rejected)",
         if report.conserves() { "exact" } else { "VIOLATED" },
     )
-    .map_err(|e| CliError(e.to_string()))?;
+    .map_err(|e| CliError::Message(e.to_string()))?;
     writeln!(
         out,
         "  goodput {}/s | attainment {} | offered attainment {} | peak buffered {} | virtual {}s",
@@ -510,13 +510,13 @@ fn front_door_command(
         report.peak_buffered,
         fmt3(report.virtual_secs),
     )
-    .map_err(|e| CliError(e.to_string()))?;
+    .map_err(|e| CliError::Message(e.to_string()))?;
     writeln!(
         out,
         "  shed-alert: {}",
         if report.shed_alert() { "fired" } else { "quiet" },
     )
-    .map_err(|e| CliError(e.to_string()))?;
+    .map_err(|e| CliError::Message(e.to_string()))?;
 
     let mut classes = TextTable::new(vec![
         "class", "admitted", "within-slo", "shed", "p50 (ms)", "p95 (ms)", "p99 (ms)",
@@ -555,10 +555,10 @@ fn front_door_command(
                 markdown_table(&classes),
                 markdown_table(&tenants),
             )
-            .map_err(|e| CliError(e.to_string()))?;
+            .map_err(|e| CliError::Message(e.to_string()))?;
         }
         _ => {
-            write!(out, "{classes}{tenants}").map_err(|e| CliError(e.to_string()))?;
+            write!(out, "{classes}{tenants}").map_err(|e| CliError::Message(e.to_string()))?;
         }
     }
     for explanation in &report.shed_explanations {
@@ -580,7 +580,7 @@ fn front_door_command(
             c.pipeline_overlap_gain,
             explanation.budget_micros,
         )
-        .map_err(|e| CliError(e.to_string()))?;
+        .map_err(|e| CliError::Message(e.to_string()))?;
     }
     if let Some(path) = &door.json {
         write_output(path, &nimblock_ser::to_string_pretty(&report), out)?;
@@ -589,7 +589,7 @@ fn front_door_command(
         write_output(path, &registry.render_prometheus(), out)?;
     }
     if !report.conserves() {
-        return Err(CliError("serving counters do not conserve invocations".to_owned()));
+        return Err(CliError::Message("serving counters do not conserve invocations".to_owned()));
     }
     Ok(())
 }
@@ -611,7 +611,7 @@ fn faas_command(args: &FaasArgs, out: &mut dyn Write) -> Result<(), CliError> {
         summary.total_invocations(),
         fmt3(summary.overall_attainment())
     )
-    .map_err(|e| CliError(e.to_string()))?;
+    .map_err(|e| CliError::Message(e.to_string()))?;
     let mut table = TextTable::new(vec![
         "function", "class", "invocations", "mean (s)", "p95 (s)", "SLO attainment",
     ]);
@@ -625,7 +625,7 @@ fn faas_command(args: &FaasArgs, out: &mut dyn Write) -> Result<(), CliError> {
             fmt3(stats.slo_attainment),
         ]);
     }
-    write!(out, "{table}").map_err(|e| CliError(e.to_string()))
+    write!(out, "{table}").map_err(|e| CliError::Message(e.to_string()))
 }
 
 fn cluster_command(args: &ClusterArgs, out: &mut dyn Write) -> Result<(), CliError> {
@@ -634,14 +634,14 @@ fn cluster_command(args: &ClusterArgs, out: &mut dyn Write) -> Result<(), CliErr
     let scheduler = args.scheduler;
     let factory = move || scheduler.build();
     if args.sweep_boards.is_some() && args.monitor.enabled() {
-        return Err(CliError(
+        return Err(CliError::Message(
             "monitoring flags are not supported with --sweep-boards \
              (one document per run; sweep runs many)"
                 .to_owned(),
         ));
     }
     if args.sweep_boards.is_some() && args.record_out.is_some() {
-        return Err(CliError(
+        return Err(CliError::Message(
             "--record-out is not supported with --sweep-boards \
              (one trace per run; sweep runs many)"
                 .to_owned(),
@@ -678,8 +678,8 @@ fn cluster_command(args: &ClusterArgs, out: &mut dyn Write) -> Result<(), CliErr
             events = events.len(),
             threads = args.threads,
         )
-        .map_err(|e| CliError(e.to_string()))?;
-        return write!(out, "{table}").map_err(|e| CliError(e.to_string()));
+        .map_err(|e| CliError::Message(e.to_string()))?;
+        return write!(out, "{table}").map_err(|e| CliError::Message(e.to_string()));
     }
     let mut cluster = ClusterTestbed::new(args.boards, args.dispatch, factory)
         .with_threads(args.threads);
@@ -710,7 +710,7 @@ fn cluster_command(args: &ClusterArgs, out: &mut dyn Write) -> Result<(), CliErr
         report.merged().records().len(),
         report.board_loads(),
     )
-    .map_err(|e| CliError(e.to_string()))?;
+    .map_err(|e| CliError::Message(e.to_string()))?;
     if let Some(doc) = report.monitor() {
         if !doc.rules.is_empty() {
             writeln!(
@@ -720,7 +720,7 @@ fn cluster_command(args: &ClusterArgs, out: &mut dyn Write) -> Result<(), CliErr
                 doc.windows.len(),
                 doc.alerts.len(),
             )
-            .map_err(|e| CliError(e.to_string()))?;
+            .map_err(|e| CliError::Message(e.to_string()))?;
         }
         if let Some(path) = &args.monitor.timeseries_out {
             write_output(path, &nimblock_ser::to_string_pretty(doc), out)?;
@@ -733,32 +733,32 @@ fn analyze_command(args: &AnalyzeArgs, out: &mut dyn Write) -> Result<(), CliErr
     match &args.target {
         AnalyzeTarget::Lint { root } => {
             let report = nimblock_analyze::lint_tree(std::path::Path::new(root))
-                .map_err(|e| CliError(format!("cannot lint {root}: {e}")))?;
+                .map_err(|e| CliError::Message(format!("cannot lint {root}: {e}")))?;
             if args.json {
                 writeln!(out, "{}", nimblock_ser::to_string_pretty(&report))
-                    .map_err(|e| CliError(e.to_string()))?;
+                    .map_err(|e| CliError::Message(e.to_string()))?;
             } else {
-                writeln!(out, "{report}").map_err(|e| CliError(e.to_string()))?;
+                writeln!(out, "{report}").map_err(|e| CliError::Message(e.to_string()))?;
             }
             if report.is_clean() {
                 Ok(())
             } else {
-                Err(CliError(format!("lint reported {} finding(s)", report.diags.len())))
+                Err(CliError::Message(format!("lint reported {} finding(s)", report.diags.len())))
             }
         }
         AnalyzeTarget::Deep { root, format, graph_out } => {
             let analysis = nimblock_analyze::deep_tree(std::path::Path::new(root))
-                .map_err(|e| CliError(format!("cannot analyze {root}: {e}")))?;
+                .map_err(|e| CliError::Message(format!("cannot analyze {root}: {e}")))?;
             if let Some(path) = graph_out {
                 fs::write(path, &analysis.dot)
-                    .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+                    .map_err(|e| CliError::Message(format!("cannot write {path}: {e}")))?;
             }
             write!(out, "{}", analysis.report.render(*format))
-                .map_err(|e| CliError(e.to_string()))?;
+                .map_err(|e| CliError::Message(e.to_string()))?;
             if analysis.report.is_clean() {
                 Ok(())
             } else {
-                Err(CliError(format!(
+                Err(CliError::Message(format!(
                     "deep analysis reported {} finding(s), {} lint finding(s), {} stale suppression(s)",
                     analysis.report.findings.len(),
                     analysis.report.lint.len(),
@@ -768,9 +768,9 @@ fn analyze_command(args: &AnalyzeArgs, out: &mut dyn Write) -> Result<(), CliErr
         }
         AnalyzeTarget::Trace { path, mechanism_only } => {
             let text = fs::read_to_string(path)
-                .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
+                .map_err(|e| CliError::Message(format!("cannot read {path}: {e}")))?;
             let trace: nimblock_core::Trace = nimblock_ser::from_str(&text)
-                .map_err(|e| CliError(format!("{path} is not a serialized trace: {e}")))?;
+                .map_err(|e| CliError::Message(format!("{path} is not a serialized trace: {e}")))?;
             let config = if *mechanism_only {
                 nimblock_analyze::InvariantConfig::mechanism_only()
             } else {
@@ -779,21 +779,21 @@ fn analyze_command(args: &AnalyzeArgs, out: &mut dyn Write) -> Result<(), CliErr
             let report = nimblock_analyze::verify_trace(&trace, &config);
             if args.json {
                 writeln!(out, "{}", nimblock_ser::to_string_pretty(&report))
-                    .map_err(|e| CliError(e.to_string()))?;
+                    .map_err(|e| CliError::Message(e.to_string()))?;
             } else if report.is_clean() {
                 writeln!(
                     out,
                     "ok: {} event(s), {} application(s), all invariants hold",
                     report.events_checked, report.apps_seen
                 )
-                .map_err(|e| CliError(e.to_string()))?;
+                .map_err(|e| CliError::Message(e.to_string()))?;
             } else {
-                writeln!(out, "{report}").map_err(|e| CliError(e.to_string()))?;
+                writeln!(out, "{report}").map_err(|e| CliError::Message(e.to_string()))?;
             }
             if report.is_clean() {
                 Ok(())
             } else {
-                Err(CliError(format!(
+                Err(CliError::Message(format!(
                     "trace violates {} invariant(s)",
                     report.violations.len()
                 )))
@@ -801,23 +801,23 @@ fn analyze_command(args: &AnalyzeArgs, out: &mut dyn Write) -> Result<(), CliErr
         }
         AnalyzeTarget::Monitor { path, format } => {
             let text = fs::read_to_string(path)
-                .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
+                .map_err(|e| CliError::Message(format!("cannot read {path}: {e}")))?;
             let doc: nimblock_obs::MonitorDoc = nimblock_ser::from_str(&text)
-                .map_err(|e| CliError(format!("{path} is not a monitoring document: {e}")))?;
+                .map_err(|e| CliError::Message(format!("{path} is not a monitoring document: {e}")))?;
             write!(out, "{}", nimblock_analyze::render_monitor(&doc, *format))
-                .map_err(|e| CliError(e.to_string()))
+                .map_err(|e| CliError::Message(e.to_string()))
             // Fired alerts describe the run, not this command: rendering
             // an alert-bearing document is still a clean exit.
         }
         AnalyzeTarget::Plan { path, sweeps, slo, replays, format, out: plan_out } => {
             let trace = fs::read(path)
-                .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
+                .map_err(|e| CliError::Message(format!("cannot read {path}: {e}")))?;
             let options = nimblock_plan::PlanOptions {
                 sweeps: sweeps.clone(),
                 slo_target: *slo,
                 replays: *replays,
             };
-            let report = nimblock_plan::plan(&trace, &options).map_err(CliError)?;
+            let report = nimblock_plan::plan(&trace, &options).map_err(CliError::Message)?;
             let plan_format = match format {
                 nimblock_analyze::ExplainFormat::Text => nimblock_plan::PlanFormat::Text,
                 nimblock_analyze::ExplainFormat::Markdown => nimblock_plan::PlanFormat::Markdown,
@@ -826,7 +826,7 @@ fn analyze_command(args: &AnalyzeArgs, out: &mut dyn Write) -> Result<(), CliErr
             let rendered = nimblock_plan::render_plan(&report, plan_format);
             match plan_out.as_deref() {
                 None | Some("-") => {
-                    write!(out, "{rendered}").map_err(|e| CliError(e.to_string()))?
+                    write!(out, "{rendered}").map_err(|e| CliError::Message(e.to_string()))?
                 }
                 Some(path) => write_output(path, &rendered, out)?,
             }
@@ -834,7 +834,7 @@ fn analyze_command(args: &AnalyzeArgs, out: &mut dyn Write) -> Result<(), CliErr
             // not reproduce the recorded day — none of its counterfactual
             // predictions can be trusted, so the command fails.
             if report.replay_check == "MISMATCH" {
-                return Err(CliError(
+                return Err(CliError::Message(
                     "exact replay of the recorded configuration did not reproduce \
                      the embedded report byte-for-byte"
                         .to_owned(),
@@ -844,16 +844,16 @@ fn analyze_command(args: &AnalyzeArgs, out: &mut dyn Write) -> Result<(), CliErr
         }
         AnalyzeTarget::Explain { path, format, top } => {
             let text = fs::read_to_string(path)
-                .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
+                .map_err(|e| CliError::Message(format!("cannot read {path}: {e}")))?;
             let trace: nimblock_core::Trace = nimblock_ser::from_str(&text)
-                .map_err(|e| CliError(format!("{path} is not a serialized trace: {e}")))?;
+                .map_err(|e| CliError::Message(format!("{path} is not a serialized trace: {e}")))?;
             let explain = nimblock_analyze::explain_trace(&trace);
             write!(out, "{}", explain.render(*format, *top))
-                .map_err(|e| CliError(e.to_string()))?;
+                .map_err(|e| CliError::Message(e.to_string()))?;
             if explain.is_exact() {
                 Ok(())
             } else {
-                Err(CliError(
+                Err(CliError::Message(
                     "attribution components do not sum to the measured response times"
                         .to_owned(),
                 ))
@@ -870,7 +870,7 @@ fn analyze_command(args: &AnalyzeArgs, out: &mut dyn Write) -> Result<(), CliErr
 pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
     match command {
         Command::Help => {
-            write!(out, "{}", crate::USAGE).map_err(|e| CliError(e.to_string()))
+            write!(out, "{}", crate::USAGE).map_err(|e| CliError::Message(e.to_string()))
         }
         Command::Generate(args) => generate_command(args, out),
         Command::Run(args) => run_command(args, out),

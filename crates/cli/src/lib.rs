@@ -30,8 +30,8 @@ mod commands;
 
 pub use args::{
     parse, AnalyzeArgs, AnalyzeTarget, CliError, ClusterArgs, Command, CompareArgs,
-    ExplainFormat, FaasArgs, FrontDoorArgs, GenerateArgs, MonitorArgs, RunArgs, SchedulerKind,
-    TraceFormat,
+    ExplainFormat, FaasArgs, FrontDoorArgs, GenerateArgs, InputError, MonitorArgs, RunArgs,
+    SchedulerKind, TraceFormat,
 };
 pub use commands::{execute, load_sequence, make_sequence};
 

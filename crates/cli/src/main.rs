@@ -9,7 +9,7 @@ fn main() -> ExitCode {
         Ok(command) => command,
         Err(error) => {
             eprintln!("error: {error}\n\n{}", nimblock_cli::USAGE);
-            return ExitCode::FAILURE;
+            return ExitCode::from(error.exit_code());
         }
     };
     let mut stdout = std::io::stdout().lock();
@@ -17,7 +17,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
             eprintln!("error: {error}");
-            ExitCode::FAILURE
+            ExitCode::from(error.exit_code())
         }
     }
 }

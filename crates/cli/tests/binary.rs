@@ -67,3 +67,17 @@ fn missing_input_file_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8(out.stderr).unwrap().contains("cannot read"));
 }
+
+#[test]
+fn zero_slots_is_bad_input_not_a_panic() {
+    for command in ["run", "compare"] {
+        let out = cli()
+            .args([command, "--slots", "0", "--events", "2"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{command} --slots 0 must exit 2");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("--slots must be at least 1"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}

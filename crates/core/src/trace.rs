@@ -5,6 +5,8 @@
 //! configuration port never overlaps itself; a slot never runs two things
 //! at once), and feeding external analysis (serialize and post-process).
 
+use std::collections::HashMap;
+
 use nimblock_obs::{render_gantt, ChromeTrace, GanttRow};
 use nimblock_ser::{impl_json_enum_structs, impl_json_struct, Json};
 
@@ -328,9 +330,13 @@ impl Trace {
         let base = nimblock_obs::MonitorConfig::default().window_micros;
         let span = self.end().as_micros();
         let lane_window = span.div_ceil(128).div_ceil(base).max(1) * base;
+        // The lanes read only the windows; skip the flight recorder.
         let monitor = crate::monitor::derive_monitor(
             self,
-            nimblock_obs::MonitorConfig::with_window_micros(lane_window),
+            nimblock_obs::MonitorConfig {
+                ring_capacity: 0,
+                ..nimblock_obs::MonitorConfig::with_window_micros(lane_window)
+            },
         );
         if !monitor.windows().is_empty() {
             chrome.thread_name(queue_tid, "waiting apps");
@@ -354,12 +360,22 @@ impl Trace {
                 );
             }
         }
+        // Every item each (app, task) ran, as (slot, start) in trace
+        // order: a reconfiguration's flow target is the first entry
+        // starting at or after its stream completes, found without
+        // rescanning the whole trace.
+        let mut items: HashMap<(AppId, TaskId), Vec<(SlotId, SimTime)>> = HashMap::new();
+        for event in &self.events {
+            if let TraceEvent::Item { slot, app, task, at, .. } = event {
+                items.entry((*app, *task)).or_default().push((*slot, *at));
+            }
+        }
         let mut flow_id = 0u64;
         for event in &self.events {
             match event {
                 TraceEvent::Arrival { app, name, at, .. } => {
                     chrome.instant(
-                        &format!("arrival {name} ({app})"),
+                        format!("arrival {name} ({app})"),
                         "lifecycle",
                         apps_tid,
                         at.as_micros(),
@@ -367,7 +383,7 @@ impl Trace {
                 }
                 TraceEvent::Retire { app, at } => {
                     chrome.instant(
-                        &format!("retire {app}"),
+                        format!("retire {app}"),
                         "lifecycle",
                         apps_tid,
                         at.as_micros(),
@@ -376,7 +392,7 @@ impl Trace {
                 TraceEvent::Reconfig { slot, app, task, at, until } => {
                     let dur = until.saturating_since(*at).as_micros();
                     chrome.complete_with_args(
-                        &format!("pr {app} {task}"),
+                        format!("pr {app} {task}"),
                         "reconfig",
                         slot.index() as u64,
                         at.as_micros(),
@@ -384,7 +400,7 @@ impl Trace {
                         vec![("slot".to_owned(), Json::Str(slot.to_string()))],
                     );
                     chrome.complete(
-                        &format!("{slot} ← {app} {task}"),
+                        format!("{slot} ← {app} {task}"),
                         "reconfig",
                         cap_tid,
                         at.as_micros(),
@@ -394,15 +410,10 @@ impl Trace {
                     // item the configured task runs at or after stream
                     // completion — the reconfig→task-start causal edge of
                     // the app's critical path.
-                    let enabled = self.events.iter().find_map(|e| match e {
-                        TraceEvent::Item { slot: s, app: a, task: t, at: item_at, .. }
-                            if a == app && t == task && *item_at >= *until =>
-                        {
-                            Some((*s, *item_at))
-                        }
-                        _ => None,
-                    });
-                    if let Some((item_slot, item_at)) = enabled {
+                    let enabled = items
+                        .get(&(*app, *task))
+                        .and_then(|runs| runs.iter().find(|(_, item_at)| item_at >= until));
+                    if let Some(&(item_slot, item_at)) = enabled {
                         flow_id += 1;
                         let name = format!("pr {app} {task} enables");
                         // Tail inside the CAP slice (slices are clamped to
@@ -415,7 +426,7 @@ impl Trace {
                             flow_id,
                         );
                         chrome.flow_finish(
-                            &name,
+                            name,
                             "flow",
                             item_slot.index() as u64,
                             item_at.as_micros(),
@@ -425,7 +436,7 @@ impl Trace {
                 }
                 TraceEvent::Item { slot, app, task, item, at, until } => {
                     chrome.complete_with_args(
-                        &format!("{app} {task}"),
+                        format!("{app} {task}"),
                         "run",
                         slot.index() as u64,
                         at.as_micros(),
@@ -435,7 +446,7 @@ impl Trace {
                 }
                 TraceEvent::Preempt { slot, app, task, at } => {
                     chrome.instant(
-                        &format!("preempt {app} {task}"),
+                        format!("preempt {app} {task}"),
                         "preempt",
                         slot.index() as u64,
                         at.as_micros(),

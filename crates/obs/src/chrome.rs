@@ -24,13 +24,15 @@
 //! native unit and the simulator's `SimTime` resolution, so conversion
 //! is lossless.
 
-use nimblock_ser::{Json, ToJson};
+use std::fmt::Write as _;
+
+use nimblock_ser::{write_string, Json};
 
 /// One trace event, pre-sorted into the builder's emission order.
 #[derive(Debug, Clone)]
 struct Event {
     name: String,
-    cat: String,
+    cat: &'static str,
     phase: char,
     tid: u64,
     ts: u64,
@@ -41,35 +43,49 @@ struct Event {
 }
 
 impl Event {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("cat".into(), Json::Str(self.cat.clone())),
-            ("ph".into(), Json::Str(self.phase.to_string())),
-            ("pid".into(), Json::U64(1)),
-            ("tid".into(), Json::U64(self.tid)),
-            ("ts".into(), Json::U64(self.ts)),
-        ];
+    /// Appends the event as one element of the pretty-printed
+    /// `traceEvents` array: the exact layout `Json::to_pretty` gives the
+    /// equivalent object at that depth, written without building it.
+    fn write(&self, out: &mut String) {
+        const FIELD: &str = ",\n      ";
+        out.push_str("    {\n      \"name\": ");
+        write_string(out, &self.name);
+        out.push_str(FIELD);
+        out.push_str("\"cat\": ");
+        write_string(out, self.cat);
+        let _ = write!(
+            out,
+            "{FIELD}\"ph\": \"{}\"{FIELD}\"pid\": 1{FIELD}\"tid\": {}{FIELD}\"ts\": {}",
+            self.phase, self.tid, self.ts
+        );
         if let Some(dur) = self.dur {
-            fields.push(("dur".into(), Json::U64(dur)));
+            let _ = write!(out, "{FIELD}\"dur\": {dur}");
         }
         if let Some(id) = self.id {
-            fields.push(("id".into(), Json::U64(id)));
+            let _ = write!(out, "{FIELD}\"id\": {id}");
         }
         if self.phase == 'i' {
             // Instant scope: thread-scoped, so the marker renders on its
             // own track instead of a full-height line.
-            fields.push(("s".into(), Json::Str("t".into())));
+            let _ = write!(out, "{FIELD}\"s\": \"t\"");
         }
         if self.phase == 'f' {
             // Bind the arrow head to the slice *enclosing* the finish
             // timestamp (the enabled task's slice), not the next slice.
-            fields.push(("bp".into(), Json::Str("e".into())));
+            let _ = write!(out, "{FIELD}\"bp\": \"e\"");
         }
         if !self.args.is_empty() {
-            fields.push(("args".into(), Json::Object(self.args.clone())));
+            out.push_str(FIELD);
+            out.push_str("\"args\": {");
+            for (i, (key, value)) in self.args.iter().enumerate() {
+                out.push_str(if i == 0 { "\n        " } else { ",\n        " });
+                write_string(out, key);
+                out.push_str(": ");
+                value.write_pretty(out, 4);
+            }
+            out.push_str("\n      }");
         }
-        Json::Object(fields)
+        out.push_str("\n    }");
     }
 
     /// Same-timestamp ordering rank: slices and markers first, then flow
@@ -113,7 +129,7 @@ impl ChromeTrace {
     pub fn thread_name(&mut self, tid: u64, name: &str) {
         self.metadata.push(Event {
             name: "thread_name".into(),
-            cat: "__metadata".into(),
+            cat: "__metadata",
             phase: 'M',
             tid,
             ts: 0,
@@ -123,7 +139,7 @@ impl ChromeTrace {
         });
         self.metadata.push(Event {
             name: "thread_sort_index".into(),
-            cat: "__metadata".into(),
+            cat: "__metadata",
             phase: 'M',
             tid,
             ts: 0,
@@ -134,7 +150,14 @@ impl ChromeTrace {
     }
 
     /// Adds a complete (`ph:"X"`) span on track `tid`, `[ts_us, ts_us+dur_us)`.
-    pub fn complete(&mut self, name: &str, cat: &str, tid: u64, ts_us: u64, dur_us: u64) {
+    pub fn complete(
+        &mut self,
+        name: impl Into<String>,
+        cat: &'static str,
+        tid: u64,
+        ts_us: u64,
+        dur_us: u64,
+    ) {
         self.complete_with_args(name, cat, tid, ts_us, dur_us, Vec::new());
     }
 
@@ -142,8 +165,8 @@ impl ChromeTrace {
     /// in the viewer's selection panel.
     pub fn complete_with_args(
         &mut self,
-        name: &str,
-        cat: &str,
+        name: impl Into<String>,
+        cat: &'static str,
         tid: u64,
         ts_us: u64,
         dur_us: u64,
@@ -154,7 +177,7 @@ impl ChromeTrace {
         // nimblock: allow(hot-path-no-alloc)
         self.events.push(Event {
             name: name.into(),
-            cat: cat.into(),
+            cat,
             phase: 'X',
             tid,
             ts: ts_us,
@@ -167,10 +190,10 @@ impl ChromeTrace {
     }
 
     /// Adds a thread-scoped instant (`ph:"i"`) marker on track `tid`.
-    pub fn instant(&mut self, name: &str, cat: &str, tid: u64, ts_us: u64) {
+    pub fn instant(&mut self, name: impl Into<String>, cat: &'static str, tid: u64, ts_us: u64) {
         self.events.push(Event {
             name: name.into(),
-            cat: cat.into(),
+            cat,
             phase: 'i',
             tid,
             ts: ts_us,
@@ -182,10 +205,17 @@ impl ChromeTrace {
 
     /// Starts a flow (`ph:"s"`) with identifier `id` on track `tid`. The
     /// arrow tail binds to the slice enclosing `ts_us` on that track.
-    pub fn flow_start(&mut self, name: &str, cat: &str, tid: u64, ts_us: u64, id: u64) {
+    pub fn flow_start(
+        &mut self,
+        name: impl Into<String>,
+        cat: &'static str,
+        tid: u64,
+        ts_us: u64,
+        id: u64,
+    ) {
         self.events.push(Event {
             name: name.into(),
-            cat: cat.into(),
+            cat,
             phase: 's',
             tid,
             ts: ts_us,
@@ -197,10 +227,17 @@ impl ChromeTrace {
 
     /// Finishes flow `id` (`ph:"f"`, `bp:"e"`) on track `tid`: the arrow
     /// head binds to the slice enclosing `ts_us`.
-    pub fn flow_finish(&mut self, name: &str, cat: &str, tid: u64, ts_us: u64, id: u64) {
+    pub fn flow_finish(
+        &mut self,
+        name: impl Into<String>,
+        cat: &'static str,
+        tid: u64,
+        ts_us: u64,
+        id: u64,
+    ) {
         self.events.push(Event {
             name: name.into(),
-            cat: cat.into(),
+            cat,
             phase: 'f',
             tid,
             ts: ts_us,
@@ -214,10 +251,17 @@ impl ChromeTrace {
     /// `series` becomes one stacked series of the counter track; viewers
     /// step-interpolate between samples, so emit one sample per tumbling
     /// window to draw the windowed time-series as lanes.
-    pub fn counter(&mut self, name: &str, cat: &str, tid: u64, ts_us: u64, series: &[(&str, u64)]) {
+    pub fn counter(
+        &mut self,
+        name: impl Into<String>,
+        cat: &'static str,
+        tid: u64,
+        ts_us: u64,
+        series: &[(&str, u64)],
+    ) {
         self.events.push(Event {
             name: name.into(),
-            cat: cat.into(),
+            cat,
             phase: 'C',
             tid,
             ts: ts_us,
@@ -237,33 +281,31 @@ impl ChromeTrace {
         self.events.is_empty()
     }
 
-    fn to_json_value(&self) -> Json {
+    /// Renders the pretty-printed trace file contents: an object with the
+    /// `traceEvents` array and `displayTimeUnit`, in the layout
+    /// `nimblock_ser::to_string_pretty` uses. Each event is written
+    /// straight into one pre-sized buffer, so the cost is the sort plus
+    /// one linear pass.
+    pub fn render(&self) -> String {
         // Metadata first, then events sorted (ts, phase rank, tid) so
         // output is deterministic, viewers never see out-of-order
         // timestamps, and a flow start follows the slice it binds to.
         let mut sorted: Vec<&Event> = self.events.iter().collect();
         sorted.sort_by_key(|e| (e.ts, e.phase_rank(), e.tid));
-        let all: Vec<Json> = self
-            .metadata
-            .iter()
-            .chain(sorted.into_iter())
-            .map(Event::to_json)
-            .collect();
-        Json::Object(vec![
-            ("traceEvents".into(), Json::Array(all)),
-            ("displayTimeUnit".into(), Json::Str("ms".into())),
-        ])
-    }
-
-    /// Renders the pretty-printed trace file contents.
-    pub fn render(&self) -> String {
-        nimblock_ser::to_string_pretty(&self.to_json_value())
-    }
-}
-
-impl ToJson for ChromeTrace {
-    fn to_json(&self) -> Json {
-        self.to_json_value()
+        let count = self.metadata.len() + sorted.len();
+        // Schedule exports average ~190 bytes per event (mostly run
+        // slices with their `args`), so one reservation usually suffices.
+        let mut out = String::with_capacity(64 + count * 192);
+        out.push_str("{\n  \"traceEvents\": [");
+        for (i, event) in self.metadata.iter().chain(sorted).enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            event.write(&mut out);
+        }
+        if count > 0 {
+            out.push_str("\n  ");
+        }
+        out.push_str("],\n  \"displayTimeUnit\": \"ms\"\n}");
+        out
     }
 }
 

@@ -43,6 +43,7 @@ mod write;
 
 pub use parse::parse;
 pub use value::{Json, JsonError};
+pub use write::write_string;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

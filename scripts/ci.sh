@@ -18,7 +18,9 @@
 #                   determinism-taint, lock-discipline) must be clean, the
 #                   suppression audit must find no stale allows, and every
 #                   adversarial fixture must trip exactly its named pass
-#   telemetry       CLI smoke: metrics text + chrome trace parse
+#   telemetry       CLI smoke: metrics text + chrome trace parse, and a
+#                   1000-app chrome export whose every flow arrow has one
+#                   finish landing inside a run slice
 #   invariants      checked run + standalone trace re-verification
 #   explain         response-time attribution: `analyze explain` on a
 #                   congested trace must decompose exactly in every format
@@ -128,6 +130,37 @@ PY
     if [ "$rust_validate" = "1" ]; then
         # No python3: fall back to the in-repo validators via the test suite.
         cargo test -q --offline --test golden_telemetry
+    fi
+    # A 1000-app Chrome export: big enough that a quadratic flow search
+    # would show, and every reconfig→item flow arrow must land on a task.
+    ./target/release/nimblock-cli run \
+        --scheduler nimblock --batch 2 --delay-ms 4000 --events 1000 \
+        --trace-format chrome --trace-out "$smoke_dir/trace.large.chrome.json" \
+        > "$smoke_dir/run.large.out"
+    if command -v python3 >/dev/null 2>&1; then
+        python3 - "$smoke_dir/trace.large.chrome.json" <<'PY' || return 1
+import bisect, collections, json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+starts = collections.Counter(e["id"] for e in events if e["ph"] == "s")
+finishes = [e for e in events if e["ph"] == "f"]
+assert starts, "no flow arrows in the large trace"
+finish_ids = collections.Counter(e["id"] for e in finishes)
+assert finish_ids == collections.Counter(starts.keys()), "a flow id lacks exactly one finish"
+assert max(starts.values()) == 1, "a flow id starts twice"
+runs = collections.defaultdict(list)
+for e in events:
+    if e["ph"] == "X" and e["cat"] == "run":
+        runs[e["tid"]].append((e["ts"], e["ts"] + e["dur"]))
+for slices in runs.values():
+    slices.sort()
+for f in finishes:
+    # A slot runs one item at a time: the enclosing slice, if any, is
+    # the last one starting at or before the finish.
+    slices = runs[f["tid"]]
+    i = bisect.bisect_right(slices, (f["ts"], float("inf"))) - 1
+    assert i >= 0 and f["ts"] < slices[i][1], f"flow {f['id']} lands outside a run slice"
+print(f"ok: {len(finishes)} flow arrows each land inside a run slice")
+PY
     fi
 }
 
