@@ -1,11 +1,14 @@
 //! **hot-path-no-alloc**: nothing reachable from the per-event hot path
 //! may allocate.
 //!
-//! Roots (PR 6's alloc-free contract): the hypervisor's per-event entry
-//! point (`Hypervisor::handle` — the issue's `Hypervisor::tick` is also
+//! Roots (the engine's alloc-free contract): the hypervisor's per-event
+//! entry point (`Hypervisor::handle` — `Hypervisor::tick` is also
 //! accepted should one appear), the per-decision `Scheduler` trait hooks
-//! (`next_reconfig`, `on_arrival`, `on_retire`, `pipelining`), and the
-//! event-queue operations (`EventQueue::{push, pop, pop_at_or_before}`).
+//! (`next_reconfig`, `on_arrival`, `on_retire`, `pipelining`), the
+//! event-queue operations (`EventQueue::{push, pop, pop_at_or_before}`),
+//! and the cluster's per-arrival dispatch step
+//! (`Dispatcher::{decide, commit}`), which every front-door run and
+//! planner replay takes once per invocation.
 //!
 //! Flagged allocation sites in reached functions: `Box::new`/`Rc::new`/
 //! `Arc::new`, `format!`, `vec!`, `String::from`, `.to_string()`,
@@ -28,6 +31,8 @@ const ROOT_QUALS: &[&str] = &[
     "EventQueue::push",
     "EventQueue::pop",
     "EventQueue::pop_at_or_before",
+    "Dispatcher::decide",
+    "Dispatcher::commit",
 ];
 
 /// The per-decision `Scheduler` trait hooks (the remaining trait methods

@@ -28,10 +28,10 @@
 use std::time::Instant;
 
 use nimblock_faas::{FrontDoor, FrontDoorConfig, FunctionRegistry, TenantPolicy};
-use nimblock_obs::record::{TraceReader, TraceRecord};
+use nimblock_obs::record::TraceReader;
 use nimblock_plan::estimator::exact_outcome;
-use nimblock_plan::{expand_scenarios, plan, render_plan, Calibration, Estimator, PlanFormat,
-    PlanOptions, Scenario, SweepAxis};
+use nimblock_plan::{expand_scenarios, plan, render_plan, Calibration, DecodedTrace, Estimator,
+    PlanFormat, PlanOptions, Scenario, SweepAxis};
 use nimblock_ser::impl_json_struct;
 use nimblock_sim::SimDuration;
 use nimblock_workload::ArrivalProcess;
@@ -159,8 +159,7 @@ pub fn measure(config: &PlanBenchConfig) -> BenchReport {
     let registry = FunctionRegistry::benchmark_suite();
     let reader = TraceReader::parse(&trace).expect("bench trace parses");
     let header = reader.header().clone();
-    let records: Vec<TraceRecord> =
-        reader.records().collect::<Result<_, _>>().expect("bench records decode");
+    let decoded = DecodedTrace::decode(&reader).expect("bench records decode");
     let baseline = Scenario::baseline(&header);
     let axis = SweepAxis::parse(ESTIMATE_SWEEP).expect("bench sweep parses");
     let scenarios = expand_scenarios(&baseline, &[axis]).expect("bench sweep expands");
@@ -171,7 +170,8 @@ pub fn measure(config: &PlanBenchConfig) -> BenchReport {
         let start = Instant::now();
         for _ in 0..REPLAY_PASSES {
             let outcome =
-                exact_outcome(&header, &registry, &records, &baseline).expect("baseline replays");
+                exact_outcome(&header, &registry, &decoded.offered, &baseline)
+                    .expect("baseline replays");
             assert_eq!(outcome.offered, config.invocations, "replay must walk every record");
         }
         replay_wall = replay_wall.min(start.elapsed().as_secs_f64());
@@ -179,13 +179,13 @@ pub fn measure(config: &PlanBenchConfig) -> BenchReport {
 
     // Estimate stage: the analytical model over the full sweep.
     let calibration =
-        Calibration::from_trace(&header, &records, &registry).expect("bench trace calibrates");
+        Calibration::from_trace(&header, &decoded, &registry).expect("bench trace calibrates");
     let estimator = Estimator::new(&header, &registry, &calibration);
     let mut estimate_wall = f64::INFINITY;
     for _ in 0..config.repeats.max(1) {
         let start = Instant::now();
         for scenario in &scenarios {
-            let outcome = estimator.predict(scenario, &records);
+            let outcome = estimator.predict(scenario, &decoded.offered);
             assert_eq!(outcome.offered, config.invocations, "estimate must walk every record");
         }
         estimate_wall = estimate_wall.min(start.elapsed().as_secs_f64());

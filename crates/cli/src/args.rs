@@ -43,6 +43,12 @@ impl Error for CliError {}
 pub enum InputError {
     /// `--slots 0`: a device needs at least one reconfigurable slot.
     ZeroSlots,
+    /// A stimulus event (by index) with `batch_size: 0`: an application
+    /// with nothing to compute never retires.
+    ZeroBatchSize {
+        /// Index of the offending event in the stimulus.
+        event: usize,
+    },
 }
 
 impl fmt::Display for InputError {
@@ -51,6 +57,10 @@ impl fmt::Display for InputError {
             InputError::ZeroSlots => {
                 f.write_str("--slots must be at least 1 (a device needs a slot)")
             }
+            InputError::ZeroBatchSize { event } => write!(
+                f,
+                "stimulus event {event} has batch_size 0 (an application needs at least one item)"
+            ),
         }
     }
 }

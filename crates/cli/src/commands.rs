@@ -11,7 +11,7 @@ use nimblock_workload::{fixed_batch_sequence, generate, EventSequence};
 
 use crate::args::{
     AnalyzeArgs, AnalyzeTarget, ClusterArgs, Command, CompareArgs, FaasArgs, GenerateArgs,
-    RunArgs, SchedulerKind, StimulusArgs, TraceFormat,
+    InputError, RunArgs, SchedulerKind, StimulusArgs, TraceFormat,
 };
 use crate::CliError;
 
@@ -40,11 +40,19 @@ pub fn make_sequence(args: &StimulusArgs) -> Result<EventSequence, CliError> {
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] describing the I/O or parse failure.
+/// Returns a [`CliError`] describing the I/O or parse failure, or
+/// [`InputError::ZeroBatchSize`] for an event the testbed cannot model.
 pub fn load_sequence(path: &str) -> Result<EventSequence, CliError> {
     let text = fs::read_to_string(path)
         .map_err(|e| CliError::Message(format!("cannot read {path}: {e}")))?;
-    nimblock_ser::from_str(&text).map_err(|e| CliError::Message(format!("cannot parse {path}: {e}")))
+    let events: EventSequence = nimblock_ser::from_str(&text)
+        .map_err(|e| CliError::Message(format!("cannot parse {path}: {e}")))?;
+    // Decoding bypasses `ArrivalEvent::new`, so its invariant is
+    // re-checked here, before anything runs.
+    if let Some(event) = events.iter().position(|event| event.batch_size() == 0) {
+        return Err(InputError::ZeroBatchSize { event }.into());
+    }
+    Ok(events)
 }
 
 /// Best-effort text of a caught panic payload.

@@ -81,3 +81,32 @@ fn zero_slots_is_bad_input_not_a_panic() {
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
 }
+
+#[test]
+fn zero_batch_size_in_a_stimulus_is_bad_input_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("nimblock-cli-batch0-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let stim = dir.join("s.json");
+    let out = cli()
+        .args([
+            "generate", "--batch", "2", "--delay-ms", "100", "--events", "3",
+            "--output", stim.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    // Zero the second event's batch size in the generated stimulus.
+    let text = std::fs::read_to_string(&stim).unwrap();
+    let field = "\"batch_size\": 2";
+    let (at, _) = text.match_indices(field).nth(1).expect("three events");
+    let zeroed = format!("{}\"batch_size\": 0{}", &text[..at], &text[at + field.len()..]);
+    std::fs::write(&stim, zeroed).unwrap();
+    for command in ["run", "compare"] {
+        let out = cli().args([command, "--input", stim.to_str().unwrap()]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{command} must exit 2");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("stimulus event 1 has batch_size 0"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

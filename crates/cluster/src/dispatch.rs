@@ -18,6 +18,8 @@
 //! **dispatch-decision time** — never at board-completion time — so the
 //! assignment order is identical no matter how board executions interleave.
 
+use std::collections::VecDeque;
+
 use nimblock_ser::impl_json_enum_units;
 
 use nimblock_sim::{SimDuration, SimTime};
@@ -90,8 +92,11 @@ pub const BITSTREAM_CACHE_SLOTS: usize = 4;
 struct BoardLoad {
     /// When the board's backlog, served one application at a time, drains.
     busy_until: SimTime,
-    /// Estimated completion time of each still-outstanding application.
-    finishes: Vec<SimTime>,
+    /// Estimated completion time of each still-outstanding application,
+    /// oldest first. Each new finish is `max(busy_until, now) + work`,
+    /// never earlier than the previous one (`busy_until`), so the queue
+    /// stays sorted and pruning only ever pops from the front.
+    finishes: VecDeque<SimTime>,
     /// Most-recently-dispatched application names, newest first, bounded
     /// by [`BITSTREAM_CACHE_SLOTS`] — the dispatcher's bitstream-cache
     /// model. Like the backlog, this is the dispatcher's *own* estimate
@@ -100,9 +105,10 @@ struct BoardLoad {
 }
 
 impl BoardLoad {
-    /// Applications estimated still live at `now`.
-    fn live_apps(&self, now: SimTime) -> usize {
-        self.finishes.iter().filter(|&&f| f > now).count()
+    /// Applications estimated still live at the instant of the last
+    /// [`BoardLoad::prune`].
+    fn live_apps(&self) -> usize {
+        self.finishes.len()
     }
 
     /// Estimated outstanding compute at `now`.
@@ -111,8 +117,11 @@ impl BoardLoad {
     }
 
     /// Drops completed entries (estimates, so this is pure bookkeeping).
+    /// `finishes` is sorted, so the completed ones are a prefix.
     fn prune(&mut self, now: SimTime) {
-        self.finishes.retain(|&f| f > now);
+        while self.finishes.front().is_some_and(|&finish| finish <= now) {
+            self.finishes.pop_front();
+        }
     }
 
     /// Accounts a newly assigned application of estimated cost `work`
@@ -121,7 +130,10 @@ impl BoardLoad {
         let start = self.busy_until.max(now);
         let finish = start + work;
         self.busy_until = finish;
-        self.finishes.push(finish);
+        // Holds the board's estimated live applications: the front door's
+        // shedding bounds it; cluster runs, which never shed, grow it
+        // amortized with the backlog. nimblock: allow(hot-path-no-alloc)
+        self.finishes.push_back(finish);
     }
 
     /// `true` iff `app_name` is staged in the board's bitstream-cache
@@ -131,13 +143,27 @@ impl BoardLoad {
     }
 
     /// Touches `app_name` in the cache model: moves it to the front,
-    /// evicting the least-recently-used entry past the slot bound.
+    /// evicting the least-recently-used entry past the slot bound. The
+    /// list is rotated in place and an evicted name's buffer is reused,
+    /// so only the first [`BITSTREAM_CACHE_SLOTS`] fills allocate.
     fn touch(&mut self, app_name: &str) {
-        if let Some(pos) = self.recent_apps.iter().position(|name| name == app_name) {
-            self.recent_apps.remove(pos);
-        }
-        self.recent_apps.insert(0, app_name.to_string());
-        self.recent_apps.truncate(BITSTREAM_CACHE_SLOTS);
+        let hit = self.recent_apps.iter().position(|name| name == app_name);
+        let end = match hit {
+            Some(pos) => pos,
+            None if self.recent_apps.len() < BITSTREAM_CACHE_SLOTS => {
+                // First fill of a cache slot. nimblock: allow(hot-path-no-alloc)
+                self.recent_apps.push(app_name.to_owned());
+                self.recent_apps.len() - 1
+            }
+            None => {
+                let last = self.recent_apps.len() - 1;
+                let evicted = &mut self.recent_apps[last];
+                evicted.clear();
+                evicted.push_str(app_name);
+                last
+            }
+        };
+        self.recent_apps[..=end].rotate_right(1);
     }
 }
 
@@ -245,6 +271,18 @@ impl Dispatcher {
             board.prune(now);
         }
         let app_name = event.app().name();
+        // The arrival's service cost, priced once per decision rather than
+        // once per board: cold (every task reconfigures) and warm (no
+        // reconfiguration). Only the cache-aware policy prices warmth —
+        // the three original policies keep their historical cost model,
+        // so for them a warm board is priced cold and their plans stay
+        // byte-identical.
+        let cold = event.app().single_slot_latency(event.batch_size(), self.reconfig);
+        let warm_work = if self.policy == DispatchPolicy::CacheAware {
+            event.app().single_slot_latency(event.batch_size(), SimDuration::ZERO)
+        } else {
+            cold
+        };
         let board = match self.policy {
             DispatchPolicy::RoundRobin => {
                 let board = self.cursor % self.boards.len();
@@ -255,7 +293,7 @@ impl Dispatcher {
                 .boards
                 .iter()
                 .enumerate()
-                .min_by_key(|(i, b)| (b.live_apps(now), *i))
+                .min_by_key(|(i, b)| (b.live_apps(), *i))
                 .map(|(i, _)| i)
                 .expect("cluster has at least one board"),
             DispatchPolicy::LeastOutstanding => self
@@ -272,32 +310,15 @@ impl Dispatcher {
                 .min_by_key(|(i, b)| {
                     // Estimated completion of this arrival on board `b`:
                     // backlog plus service priced by cache warmth.
-                    let work = event.app().single_slot_latency(
-                        event.batch_size(),
-                        if b.is_warm(app_name) { SimDuration::ZERO } else { self.reconfig },
-                    );
+                    let work = if b.is_warm(app_name) { warm_work } else { cold };
                     (b.outstanding(now) + work, *i)
                 })
                 .map(|(i, _)| i)
                 .expect("cluster has at least one board"),
         };
         let warm = self.boards[board].is_warm(app_name);
-        // Only the cache-aware policy prices warmth into the backlog
-        // estimate — the three original policies keep their historical
-        // cost model so their plans stay byte-identical.
-        let priced_reconfig = if self.policy == DispatchPolicy::CacheAware && warm {
-            SimDuration::ZERO
-        } else {
-            self.reconfig
-        };
-        DispatchDecision {
-            board,
-            warm,
-            queue_wait: self.boards[board].outstanding(now),
-            work: event
-                .app()
-                .single_slot_latency(event.batch_size(), priced_reconfig),
-        }
+        let work = if warm { warm_work } else { cold };
+        DispatchDecision { board, warm, queue_wait: self.boards[board].outstanding(now), work }
     }
 
     /// Accounts a decided arrival into the load model: adds the priced

@@ -36,10 +36,7 @@
 use std::sync::Arc;
 
 use nimblock_cluster::{pool, DispatchPolicy, Dispatcher};
-use nimblock_metrics::{
-    AttributionComponents, ClassAttainment, CurvePoint, ServingCounters, ShedExplanation,
-    SloCurve,
-};
+use nimblock_metrics::{ClassAttainment, CurvePoint, ServingCounters, ShedExplanation, SloCurve};
 use nimblock_obs::record::{TraceFunction, TraceHeader, TraceRecord, TraceVerdict, TraceWriter};
 use nimblock_obs::{QuantileDigest, Registry};
 use nimblock_prng::Prng;
@@ -586,18 +583,16 @@ impl FrontDoor {
                 };
                 *reason_counter += 1;
                 class_shed[class_index] += 1;
-                explanations[class_index] = std::mem::take(&mut explanations[class_index])
-                    .merged(ShedExplanation {
-                        class_name: slo.name().to_string(),
-                        sheds: 1,
-                        components: AttributionComponents {
-                            queue_wait: decision.queue_wait.as_micros(),
-                            reconfig: reconfig_part.as_micros(),
-                            compute: decision.work.as_micros() - reconfig_part.as_micros(),
-                            ..AttributionComponents::default()
-                        },
-                        budget_micros: budget.as_micros(),
-                    });
+                // Accumulated in place on the class's explanation: the
+                // same sums `ShedExplanation::merged` would fold, without
+                // building (and name-checking) a one-shed explanation.
+                let explanation = &mut explanations[class_index];
+                explanation.sheds += 1;
+                explanation.components.queue_wait += decision.queue_wait.as_micros();
+                explanation.components.reconfig += reconfig_part.as_micros();
+                explanation.components.compute +=
+                    decision.work.as_micros() - reconfig_part.as_micros();
+                explanation.budget_micros += budget.as_micros();
                 if let Some(writer) = recorder.as_deref_mut() {
                     writer.push(&TraceRecord {
                         arrival_micros: now.as_micros(),

@@ -108,6 +108,14 @@ pub fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64, String> {
     }
 }
 
+/// Decodes a varint record field that the writer encoded from a `u32`;
+/// a larger value is an error, never silently truncated.
+fn get_u32(data: &[u8], pos: &mut usize, field: &str) -> Result<u32, String> {
+    let value = get_varint(data, pos)?;
+    u32::try_from(value)
+        .map_err(|_| format!("record {field} {value} overflows u32 at byte {}", *pos - 1))
+}
+
 fn put_f64(buf: &mut Vec<u8>, value: f64) {
     buf.extend_from_slice(&value.to_bits().to_le_bytes());
 }
@@ -644,6 +652,15 @@ impl<'a> TraceReader<'a> {
         self.report_json
     }
 
+    /// How many records a reader may pre-allocate for: the footer's
+    /// record count, capped by what the record section can hold (a record
+    /// encodes in at least six bytes), so a footer claiming more records
+    /// than the bytes carry cannot inflate the allocation.
+    pub fn record_capacity(&self) -> usize {
+        let section = self.footer_offset - self.records_start;
+        self.summary.records.min((section / 6) as u64) as usize
+    }
+
     /// Iterates every record from the start.
     pub fn records(&self) -> RecordIter<'a> {
         RecordIter {
@@ -704,10 +721,13 @@ impl RecordIter<'_> {
         if tag != TAG_RECORD {
             return Err(format!("expected record tag, found {tag:#04x} at byte {}", *pos - 1));
         }
-        let arrival_micros = self.prev_arrival + get_varint(data, pos)?;
-        let function = get_varint(data, pos)? as u32;
-        let items = get_varint(data, pos)? as u32;
-        let tenant = get_varint(data, pos)? as u32;
+        let arrival_micros = self
+            .prev_arrival
+            .checked_add(get_varint(data, pos)?)
+            .ok_or_else(|| format!("record arrival overflows u64 at byte {}", *pos - 1))?;
+        let function = get_u32(data, pos, "function")?;
+        let items = get_u32(data, pos, "items")?;
+        let tenant = get_u32(data, pos, "tenant")?;
         let outcome = *data
             .get(*pos)
             .ok_or_else(|| "trace truncated inside record".to_owned())?;
@@ -725,7 +745,7 @@ impl RecordIter<'_> {
         };
         match verdict {
             TraceVerdict::Admit => {
-                record.board = get_varint(data, pos)? as u32;
+                record.board = get_u32(data, pos, "board")?;
                 record.queue_wait_micros = get_varint(data, pos)?;
                 record.work_micros = get_varint(data, pos)?;
             }
@@ -931,6 +951,58 @@ mod tests {
             writer.push(&TraceRecord { arrival_micros: 99, ..TraceRecord::default() });
         }));
         assert!(result.is_err(), "backwards arrival must panic");
+    }
+
+    #[test]
+    fn record_capacity_is_bounded_by_the_record_bytes() {
+        let honest = sample_trace(None);
+        assert_eq!(TraceReader::parse(&honest).expect("parses").record_capacity(), 3);
+        // A footer claiming far more records than the bytes hold still
+        // checksums, but cannot inflate a reader's pre-allocation.
+        let mut writer = TraceWriter::new(&sample_header());
+        for record in sample_records() {
+            writer.push(&record);
+        }
+        writer.summary.records = u64::MAX;
+        let inflated = writer.finish(None);
+        let reader = TraceReader::parse(&inflated).expect("the checksum covers the claim");
+        assert_eq!(reader.summary().records, u64::MAX);
+        assert!(reader.record_capacity() < 64, "{}", reader.record_capacity());
+        assert_eq!(reader.records().count(), 3);
+    }
+
+    #[test]
+    fn record_fields_wider_than_u32_are_errors_not_truncations() {
+        // `u32::MAX` and 2^32 + 1 both encode in five varint bytes, so
+        // swapping one for the other in the writer's buffer moves no
+        // offset; `finish` then checksums the crafted bytes.
+        let mut sentinel = Vec::new();
+        put_varint(&mut sentinel, u64::from(u32::MAX));
+        let mut wide = Vec::new();
+        put_varint(&mut wide, (1 << 32) + 1);
+        assert_eq!((sentinel.len(), wide.len()), (5, 5));
+        let base = TraceRecord { arrival_micros: 5, ..TraceRecord::default() };
+        let cases = [
+            ("function", TraceRecord { function: u32::MAX, ..base }),
+            ("items", TraceRecord { items: u32::MAX, ..base }),
+            ("tenant", TraceRecord { tenant: u32::MAX, ..base }),
+            ("board", TraceRecord { board: u32::MAX, ..base }),
+        ];
+        for (field, record) in cases {
+            let mut writer = TraceWriter::new(&sample_header());
+            writer.push(&record);
+            let hits: Vec<_> = (0..=writer.buf.len() - sentinel.len())
+                .filter(|&at| writer.buf[at..].starts_with(&sentinel))
+                .collect();
+            assert_eq!(hits.len(), 1, "{field}: the sentinel must be unambiguous");
+            let at = hits[0];
+            writer.buf[at..at + wide.len()].copy_from_slice(&wide);
+            let bytes = writer.finish(None);
+            let reader = TraceReader::parse(&bytes).expect("the checksum covers the crafted bytes");
+            let error = reader.records().next().expect("one record").expect_err(field);
+            let expected = format!("record {field} 4294967297 overflows u32 at byte {}", at + 4);
+            assert_eq!(error, expected);
+        }
     }
 
     #[test]

@@ -31,19 +31,75 @@ use nimblock_faas::{
     AdmissionVerdict, FrontDoor, FrontDoorConfig, FrontDoorReport, FunctionRegistry,
     OfferedInvocation, SloClass, TenantPolicy, TenantRegistry,
 };
-use nimblock_obs::record::{TraceHeader, TraceRecord};
+use nimblock_obs::record::{TraceHeader, TraceReader};
 use nimblock_sim::{SimDuration, SimTime};
 
 use crate::report::Outcome;
 use crate::sweep::Scenario;
 
-/// Decodes a trace record back into the front door's offered form.
-pub fn offered_from_record(record: &TraceRecord) -> OfferedInvocation {
-    OfferedInvocation {
-        at: SimTime::from_micros(record.arrival_micros),
-        function: record.function as usize,
-        items: record.items,
-        tenant: record.tenant as usize,
+/// A recorded serving day decoded once, in one pass, into the front
+/// door's own offered form — 32 bytes an invocation, the sequence every
+/// prediction and exact replay walks — with the attribution totals that
+/// [`Calibration`] reads folded in along the way.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DecodedTrace {
+    /// The offered sequence, in record order.
+    pub offered: Vec<OfferedInvocation>,
+    /// Records that reached the router (admitted or shed).
+    pub routed: u64,
+    /// Routed records the router found warm.
+    pub warm: u64,
+    /// Summed recorded queue wait of the routed records, microseconds.
+    pub queue_wait_micros: u64,
+}
+
+impl DecodedTrace {
+    /// Decodes and validates every record of `reader`'s trace. A record
+    /// naming a function or tenant outside the header's tables, or batch
+    /// items outside `1..=max_items`, is an error naming the record: the
+    /// front door could not have offered it, and replaying it would
+    /// index past the tenant table or build an empty application.
+    pub fn decode(reader: &TraceReader<'_>) -> Result<DecodedTrace, String> {
+        let header = reader.header();
+        let mut decoded = DecodedTrace {
+            offered: Vec::with_capacity(reader.record_capacity()),
+            ..DecodedTrace::default()
+        };
+        for (index, record) in reader.records().enumerate() {
+            let record = record.map_err(|e| format!("trace records: {e}"))?;
+            if record.function as usize >= header.functions.len() {
+                return Err(format!(
+                    "record references function {} outside the {}-entry table",
+                    record.function,
+                    header.functions.len()
+                ));
+            }
+            if u64::from(record.tenant) >= header.tenants {
+                return Err(format!(
+                    "record {index} references tenant {} outside the {}-tenant table",
+                    record.tenant, header.tenants
+                ));
+            }
+            if record.items == 0 || u64::from(record.items) > header.max_items {
+                return Err(format!(
+                    "record {index} has {} batch item(s), outside 1..={}",
+                    record.items, header.max_items
+                ));
+            }
+            if record.verdict.routed() {
+                decoded.routed += 1;
+                decoded.warm += u64::from(record.warm);
+                decoded.queue_wait_micros =
+                    decoded.queue_wait_micros.saturating_add(record.queue_wait_micros);
+            }
+            decoded.offered.push(OfferedInvocation {
+                at: SimTime::from_micros(record.arrival_micros),
+                function: record.function as usize,
+                items: record.items,
+                tenant: record.tenant as usize,
+            });
+        }
+        Ok(decoded)
     }
 }
 
@@ -76,34 +132,25 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// Calibrates against `records` as recorded under `header`.
+    /// Calibrates against a trace recorded under `header`, decoded into
+    /// `decoded`.
     pub fn from_trace(
         header: &TraceHeader,
-        records: &[TraceRecord],
+        decoded: &DecodedTrace,
         registry: &FunctionRegistry,
     ) -> Result<Calibration, String> {
-        let mut routed = 0u64;
-        let mut warm = 0u64;
-        let mut queue_sum = 0u64;
-        for record in records {
-            if record.verdict.routed() {
-                routed += 1;
-                if record.warm {
-                    warm += 1;
-                }
-                queue_sum += record.queue_wait_micros;
-            }
-        }
+        let DecodedTrace { offered, routed, warm, queue_wait_micros } = decoded;
         let baseline = Scenario::baseline(header);
-        let warm_rate = if routed == 0 {
+        let warm_rate = if *routed == 0 {
             structural_warm(baseline.policy, baseline.boards, header.functions.len())
         } else {
-            warm as f64 / routed as f64
+            *warm as f64 / *routed as f64
         };
         let unit = Calibration { warm_rate, queue_scale: 1.0 };
         let probe = Estimator::new(header, registry, &unit);
-        let (_, raw_mean) = probe.simulate(&baseline, records);
-        let recorded_mean = if routed == 0 { 0.0 } else { queue_sum as f64 / routed as f64 };
+        let (_, raw_mean) = probe.simulate(&baseline, offered);
+        let recorded_mean =
+            if *routed == 0 { 0.0 } else { *queue_wait_micros as f64 / *routed as f64 };
         let queue_scale = if raw_mean > 0.0 && recorded_mean > 0.0 {
             (recorded_mean / raw_mean).clamp(0.25, 4.0)
         } else {
@@ -185,16 +232,16 @@ impl Estimator {
         }
     }
 
-    /// Predicts the outcome of serving `records`' offered sequence on
+    /// Predicts the outcome of serving the `offered` sequence on
     /// `scenario`'s fleet.
-    pub fn predict(&self, scenario: &Scenario, records: &[TraceRecord]) -> Outcome {
-        self.simulate(scenario, records).0
+    pub fn predict(&self, scenario: &Scenario, offered: &[OfferedInvocation]) -> Outcome {
+        self.simulate(scenario, offered).0
     }
 
     /// The pass behind [`Estimator::predict`]; also returns the *raw*
     /// (unscaled) mean pooled queue wait in micros, which is what
     /// [`Calibration::from_trace`] anchors `queue_scale` against.
-    fn simulate(&self, scenario: &Scenario, records: &[TraceRecord]) -> (Outcome, f64) {
+    fn simulate(&self, scenario: &Scenario, offered_seq: &[OfferedInvocation]) -> (Outcome, f64) {
         let classes = SloClass::ALL.len();
         // Per-function latency tables for this scenario's CAP latency:
         // warm work (no reconfiguration) and cold work, per batch size.
@@ -235,24 +282,24 @@ impl Estimator {
         let mut routed = 0u64;
         let mut raw_wait_sum = 0u64;
 
-        for record in records {
-            let now = record.arrival_micros;
+        for invocation in offered_seq {
+            let now = invocation.at.as_micros();
             virtual_end = virtual_end.max(now);
             offered += 1;
-            match tenants.judge(record.tenant as usize, SimTime::from_micros(now)) {
+            match tenants.judge(invocation.tenant, invocation.at) {
                 AdmissionVerdict::RejectRate | AdmissionVerdict::RejectQuota => {
                     rejected += 1;
                     continue;
                 }
                 AdmissionVerdict::Admit => {}
             }
-            let profile = &self.functions[record.function as usize];
-            let item_slot = (record.items.clamp(1, self.max_items) - 1) as usize;
-            let index = record.function as usize * items_range + item_slot;
-            warm_credit[record.function as usize] += p_warm;
-            let warm = warm_credit[record.function as usize] >= 1.0;
+            let profile = &self.functions[invocation.function];
+            let item_slot = (invocation.items.clamp(1, self.max_items) - 1) as usize;
+            let index = invocation.function * items_range + item_slot;
+            warm_credit[invocation.function] += p_warm;
+            let warm = warm_credit[invocation.function] >= 1.0;
             if warm {
-                warm_credit[record.function as usize] -= 1.0;
+                warm_credit[invocation.function] -= 1.0;
             }
             let work = if warm { warm_work[index] } else { cold_work[index] };
             let cold = cold_work[index];
@@ -271,7 +318,7 @@ impl Estimator {
                 continue;
             }
             tenants.record_admission(
-                record.tenant as usize,
+                invocation.tenant,
                 SimTime::from_micros(now + queue_wait + work),
             );
             let Reverse(free) = slot_free.pop().expect("fleets have at least one slot");
@@ -306,26 +353,44 @@ impl Estimator {
     }
 }
 
+/// The full front-door report of replaying the `offered` sequence,
+/// recorded under `recorded` at `load_factor`, on `scenario`'s fleet,
+/// policy, and reconfiguration latency. The door serves on one thread:
+/// planner replays run inside the planner's own worker pool, so pools
+/// never nest (the report is byte-identical for every thread count).
+pub(crate) fn exact_report(
+    recorded: &FrontDoorConfig,
+    load_factor: f64,
+    registry: &FunctionRegistry,
+    offered: &[OfferedInvocation],
+    scenario: &Scenario,
+) -> FrontDoorReport {
+    let config = FrontDoorConfig {
+        boards: scenario.boards as usize,
+        slots_per_board: scenario.slots as usize,
+        reconfig: scenario.reconfig,
+        policy: scenario.policy,
+        threads: 1,
+        ..*recorded
+    };
+    FrontDoor::new(registry.clone(), config).replay(load_factor, offered.iter().copied())
+}
+
 /// Ground truth for one scenario: the recorded offered sequence replayed
 /// through the full front door on the counterfactual fleet.
 pub fn exact_outcome(
     header: &TraceHeader,
     registry: &FunctionRegistry,
-    records: &[TraceRecord],
+    offered: &[OfferedInvocation],
     scenario: &Scenario,
 ) -> Result<Outcome, String> {
-    let mut config = FrontDoorConfig::from_trace_header(header)?;
-    config.boards = scenario.boards as usize;
-    config.slots_per_board = scenario.slots as usize;
-    config.reconfig = scenario.reconfig;
-    config.policy = scenario.policy;
-    let door = FrontDoor::new(registry.clone(), config);
-    let report = door.replay(header.load_factor, records.iter().map(offered_from_record));
+    let recorded = FrontDoorConfig::from_trace_header(header)?;
+    let report = exact_report(&recorded, header.load_factor, registry, offered, scenario);
     Ok(outcome_from_report(&report, scenario.boards))
 }
 
 /// Collapses a full front-door report into the planner's outcome row.
-fn outcome_from_report(report: &FrontDoorReport, boards: u64) -> Outcome {
+pub(crate) fn outcome_from_report(report: &FrontDoorReport, boards: u64) -> Outcome {
     Outcome {
         offered: report.counters.offered,
         admitted: report.counters.admitted,
@@ -365,7 +430,6 @@ fn class_index(class: SloClass) -> usize {
 mod tests {
     use super::*;
     use nimblock_faas::verify_trace_functions;
-    use nimblock_obs::record::TraceReader;
     use nimblock_workload::ArrivalProcess;
 
     fn recorded(seed: u64) -> Vec<u8> {
@@ -377,19 +441,19 @@ mod tests {
         FrontDoor::new(FunctionRegistry::benchmark_suite(), config).run_recorded(1.0).1
     }
 
-    fn decoded(trace: &[u8]) -> (TraceHeader, Vec<TraceRecord>) {
+    fn decoded(trace: &[u8]) -> (TraceHeader, DecodedTrace) {
         let reader = TraceReader::parse(trace).expect("parses");
-        let records = reader.records().collect::<Result<Vec<_>, _>>().expect("decodes");
-        (reader.header().clone(), records)
+        let decoded = DecodedTrace::decode(&reader).expect("decodes");
+        (reader.header().clone(), decoded)
     }
 
     #[test]
     fn calibration_reads_the_recorded_components() {
         let trace = recorded(7);
-        let (header, records) = decoded(&trace);
+        let (header, decoded) = decoded(&trace);
         let registry = FunctionRegistry::benchmark_suite();
         verify_trace_functions(&registry, &header).expect("matches");
-        let calibration = Calibration::from_trace(&header, &records, &registry).expect("calibrates");
+        let calibration = Calibration::from_trace(&header, &decoded, &registry).expect("calibrates");
         assert!((0.0..=1.0).contains(&calibration.warm_rate), "{}", calibration.warm_rate);
         assert!(
             (0.25..=4.0).contains(&calibration.queue_scale),
@@ -401,13 +465,13 @@ mod tests {
     #[test]
     fn estimator_tracks_the_exact_replay_on_the_baseline() {
         let trace = recorded(11);
-        let (header, records) = decoded(&trace);
+        let (header, decoded) = decoded(&trace);
         let registry = FunctionRegistry::benchmark_suite();
-        let calibration = Calibration::from_trace(&header, &records, &registry).expect("calibrates");
+        let calibration = Calibration::from_trace(&header, &decoded, &registry).expect("calibrates");
         let estimator = Estimator::new(&header, &registry, &calibration);
         let baseline = Scenario::baseline(&header);
-        let predicted = estimator.predict(&baseline, &records);
-        let exact = exact_outcome(&header, &registry, &records, &baseline).expect("replays");
+        let predicted = estimator.predict(&baseline, &decoded.offered);
+        let exact = exact_outcome(&header, &registry, &decoded.offered, &baseline).expect("replays");
         assert_eq!(predicted.offered, exact.offered);
         let error = (predicted.offered_attainment - exact.offered_attainment).abs();
         assert!(
@@ -421,13 +485,13 @@ mod tests {
     #[test]
     fn predictions_are_deterministic() {
         let trace = recorded(13);
-        let (header, records) = decoded(&trace);
+        let (header, decoded) = decoded(&trace);
         let registry = FunctionRegistry::benchmark_suite();
-        let calibration = Calibration::from_trace(&header, &records, &registry).expect("calibrates");
+        let calibration = Calibration::from_trace(&header, &decoded, &registry).expect("calibrates");
         let estimator = Estimator::new(&header, &registry, &calibration);
         let scenario = Scenario { boards: 9, ..Scenario::baseline(&header) };
-        let a = estimator.predict(&scenario, &records);
-        let b = estimator.predict(&scenario, &records);
+        let a = estimator.predict(&scenario, &decoded.offered);
+        let b = estimator.predict(&scenario, &decoded.offered);
         assert_eq!(nimblock_ser::to_string_pretty(&a), nimblock_ser::to_string_pretty(&b));
     }
 

@@ -33,6 +33,11 @@
 //! attainment error (percentage points) across those samples is
 //! reported next to every prediction.
 //!
+//! The trace is decoded once into the front door's offered form; the
+//! replays and predictions then run as independent jobs, one worker per
+//! CPU, merged by index, so the report is the same for every thread
+//! count (DESIGN.md §18.5).
+//!
 //! # Example
 //!
 //! ```
@@ -57,14 +62,15 @@ pub mod estimator;
 pub mod report;
 pub mod sweep;
 
-use nimblock_faas::{verify_trace_functions, FrontDoor, FrontDoorConfig, FunctionRegistry};
+use nimblock_cluster::pool;
+use nimblock_faas::{verify_trace_functions, FrontDoorConfig, FrontDoorReport, FunctionRegistry};
 use nimblock_obs::record::{TraceReader, KIND_ENGINE, KIND_SERVING};
 
-pub use estimator::{Calibration, Estimator};
+pub use estimator::{Calibration, DecodedTrace, Estimator};
 pub use report::{render_plan, Outcome, PlanFormat, PlanReport, ScenarioRow};
 pub use sweep::{expand_scenarios, Scenario, SweepAxis};
 
-use estimator::exact_outcome;
+use estimator::{exact_report, outcome_from_report};
 
 /// Planner knobs, all optional.
 #[derive(Debug, Clone)]
@@ -105,6 +111,20 @@ fn replay_indices(n: usize, count: usize) -> Vec<usize> {
     picks
 }
 
+/// One unit of the planner's parallel work.
+enum Job {
+    /// Replay the recorded day exactly on a scenario's fleet.
+    Replay(Scenario),
+    /// Predict a scenario with the analytical estimator.
+    Predict(Scenario),
+}
+
+/// A finished [`Job`].
+enum Done {
+    Replay(FrontDoorReport),
+    Predict(Outcome),
+}
+
 /// Runs the capacity planner over the raw bytes of a recorded serving
 /// trace: calibrates the estimator, sweeps the requested scenarios,
 /// validates a sampled subset by exact replay, and checks that replaying
@@ -142,61 +162,91 @@ pub fn plan(trace: &[u8], options: &PlanOptions) -> Result<PlanReport, String> {
         .collect::<Result<Vec<_>, _>>()?;
     let scenarios = expand_scenarios(&baseline, &axes)?;
 
-    // Decode once; the estimator and every replay iterate this slice.
-    let records = reader
-        .records()
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("trace records: {e}"))?;
-    for record in &records {
-        if record.function as usize >= header.functions.len() {
-            return Err(format!(
-                "record references function {} outside the {}-entry table",
-                record.function,
-                header.functions.len()
-            ));
+    // Decode once, validating every record; every prediction and replay
+    // below walks this slice.
+    let decoded = DecodedTrace::decode(&reader)?;
+    let calibration = Calibration::from_trace(header, &decoded, &registry)?;
+    let estimator = Estimator::new(header, &registry, &calibration);
+
+    // The distinct scenarios replayed exactly: the unmodified baseline,
+    // whose report is checked byte-for-byte against the one embedded at
+    // record time, and the sampled scenarios that give ground truth and
+    // the measured error bound. A sampled scenario equal to the baseline
+    // reuses the baseline's replay.
+    let picks = replay_indices(scenarios.len(), options.replays);
+    let embedded = reader.report_json();
+    let mut replayed: Vec<Scenario> = Vec::with_capacity(picks.len() + 1);
+    if embedded.is_some() {
+        replayed.push(baseline);
+    }
+    for &index in &picks {
+        if !replayed.contains(&scenarios[index]) {
+            replayed.push(scenarios[index]);
         }
     }
 
-    // Byte-identity check: the unmodified configuration replayed against
-    // the report embedded at record time.
-    let replay_check = match reader.report_json() {
-        None => "report-missing".to_owned(),
-        Some(embedded) => {
-            let door = FrontDoor::new(registry.clone(), baseline_config);
-            let replayed = door.replay(
-                header.load_factor,
-                records.iter().map(estimator::offered_from_record),
-            );
-            if nimblock_ser::to_string_pretty(&replayed) == embedded {
-                "byte-identical".to_owned()
-            } else {
-                "MISMATCH".to_owned()
+    // Every replay and prediction is independent: run them one worker
+    // per CPU and merge by job index, so the report is the same for
+    // every thread count.
+    let jobs: Vec<_> = replayed
+        .iter()
+        .map(|&scenario| Job::Replay(scenario))
+        .chain(scenarios.iter().map(|&scenario| Job::Predict(scenario)))
+        .map(|job| {
+            let (registry, estimator, offered) = (&registry, &estimator, &decoded.offered);
+            move || match job {
+                Job::Replay(scenario) => Done::Replay(exact_report(
+                    &baseline_config,
+                    header.load_factor,
+                    registry,
+                    offered,
+                    &scenario,
+                )),
+                Job::Predict(scenario) => Done::Predict(estimator.predict(&scenario, offered)),
             }
+        })
+        .collect();
+    // `reports[k]` is `replayed[k]`'s; `predictions[i]` is `scenarios[i]`'s.
+    let mut reports = Vec::with_capacity(replayed.len());
+    let mut predictions = Vec::with_capacity(scenarios.len());
+    for done in pool::run_indexed(pool::resolve_threads(0), jobs) {
+        match done {
+            Done::Replay(report) => reports.push(report),
+            Done::Predict(outcome) => predictions.push(outcome),
         }
-    };
+    }
 
-    let calibration = Calibration::from_trace(header, &records, &registry)?;
-    let estimator = Estimator::new(header, &registry, &calibration);
+    // With an embedded report, the baseline was replayed first.
+    let replay_check = match embedded {
+        None => "report-missing".to_owned(),
+        Some(embedded) if nimblock_ser::to_string_pretty(&reports[0]) == embedded => {
+            "byte-identical".to_owned()
+        }
+        Some(_) => "MISMATCH".to_owned(),
+    };
 
     let mut rows: Vec<ScenarioRow> = scenarios
         .iter()
-        .map(|scenario| ScenarioRow {
+        .zip(predictions)
+        .map(|(scenario, predicted)| ScenarioRow {
             boards: scenario.boards,
             slots: scenario.slots,
             policy: scenario.policy.name().to_owned(),
             reconfig_ms: scenario.reconfig.as_micros() as f64 / 1_000.0,
-            predicted: estimator.predict(scenario, &records),
+            predicted,
             exact: None,
             error_pp: None,
         })
         .collect();
 
-    // Sampled exact replays: ground truth plus the measured error bound.
-    let picks = replay_indices(rows.len(), options.replays);
     let mut error_bound_pp = 0.0f64;
     for &index in &picks {
         let scenario = &scenarios[index];
-        let exact = exact_outcome(header, &registry, &records, scenario)?;
+        let replay = replayed
+            .iter()
+            .position(|replayed| replayed == scenario)
+            .expect("every sampled scenario is replayed");
+        let exact = outcome_from_report(&reports[replay], scenario.boards);
         let row = &mut rows[index];
         let mut worst = (row.predicted.offered_attainment - exact.offered_attainment).abs();
         for (predicted, exact_class) in row
@@ -260,7 +310,9 @@ pub fn plan(trace: &[u8], options: &PlanOptions) -> Result<PlanReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nimblock_faas::{FrontDoor, FrontDoorConfig, FunctionRegistry, TenantPolicy};
+    use nimblock_cluster::DispatchPolicy;
+    use nimblock_faas::{FrontDoor, TenantPolicy};
+    use nimblock_obs::record::{put_varint, TraceRecord, TraceWriter};
     use nimblock_sim::SimDuration;
     use nimblock_workload::ArrivalProcess;
 
@@ -346,6 +398,147 @@ mod tests {
         assert_eq!(replay_indices(10, 1), vec![0]);
         assert!(replay_indices(0, 5).is_empty());
         assert_eq!(replay_indices(2, 2), vec![0, 1]);
+    }
+
+    /// The sampled rows' exact outcomes, each re-derived by its own
+    /// replay, next to what the planner reported.
+    fn exact_rows(trace: &[u8], report: &PlanReport) -> Vec<(Outcome, Outcome)> {
+        let reader = TraceReader::parse(trace).expect("parses");
+        let decoded = DecodedTrace::decode(&reader).expect("decodes");
+        let registry = FunctionRegistry::benchmark_suite();
+        report
+            .scenarios
+            .iter()
+            .filter_map(|row| {
+                let scenario = Scenario {
+                    boards: row.boards,
+                    slots: row.slots,
+                    reconfig: SimDuration::from_micros((row.reconfig_ms * 1_000.0) as u64),
+                    policy: DispatchPolicy::parse(&row.policy).expect("policy parses"),
+                };
+                let exact = estimator::exact_outcome(
+                    reader.header(),
+                    &registry,
+                    &decoded.offered,
+                    &scenario,
+                )
+                .expect("replays");
+                row.exact.clone().map(|reported| (reported, exact))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_sampled_baseline_reuses_the_baseline_replay() {
+        let trace = recorded_trace(19, 2_000);
+        let options =
+            PlanOptions { sweeps: vec!["boards=1..8".to_owned()], ..PlanOptions::default() };
+        let report = plan(&trace, &options).expect("plans");
+        assert_eq!(report.replay_check, "byte-identical");
+        // boards=1..8 samples indices 0, 1, 3, 5, 7: index 3 is the
+        // recorded 4-board fleet, whose exact row is the baseline replay.
+        let baseline = &report.scenarios[3];
+        assert_eq!(baseline.boards, report.baseline_boards);
+        assert!(baseline.exact.is_some(), "the sampled baseline has an exact outcome");
+        let rows = exact_rows(&trace, &report);
+        assert_eq!(rows.len(), 5);
+        for (reported, exact) in rows {
+            assert_eq!(reported, exact);
+        }
+    }
+
+    #[test]
+    fn a_sweep_without_the_baseline_still_checks_it() {
+        let trace = recorded_trace(23, 2_000);
+        let options =
+            PlanOptions { sweeps: vec!["boards=5..8".to_owned()], ..PlanOptions::default() };
+        let report = plan(&trace, &options).expect("plans");
+        assert_eq!(report.baseline_boards, 4);
+        assert!(report.scenarios.iter().all(|row| row.boards != report.baseline_boards));
+        assert_eq!(report.replay_check, "byte-identical");
+        assert_eq!(report.sampled_replays, 4);
+        let rows = exact_rows(&trace, &report);
+        assert_eq!(rows.len(), 4, "every sampled row has an exact outcome");
+        for (reported, exact) in rows {
+            assert_eq!(reported, exact);
+        }
+    }
+
+    /// A well-formed trace of the benchmark door (4 tenants, 6 functions,
+    /// up to 4 batch items) holding one valid record and then `record`.
+    fn trace_with(record: TraceRecord) -> Vec<u8> {
+        let door = FrontDoor::new(FunctionRegistry::benchmark_suite(), FrontDoorConfig::new(3));
+        let mut writer = TraceWriter::new(&door.trace_header(1.0));
+        writer.push(&TraceRecord { arrival_micros: 10, items: 1, ..TraceRecord::default() });
+        writer.push(&TraceRecord { arrival_micros: 20, ..record });
+        writer.finish(None)
+    }
+
+    #[test]
+    fn records_outside_the_header_tables_are_errors_not_panics() {
+        let cases = [
+            (
+                TraceRecord { tenant: 4, items: 1, ..TraceRecord::default() },
+                "record 1 references tenant 4 outside the 4-tenant table",
+            ),
+            (
+                TraceRecord { items: 0, ..TraceRecord::default() },
+                "record 1 has 0 batch item(s), outside 1..=4",
+            ),
+            (
+                TraceRecord { items: 5, ..TraceRecord::default() },
+                "record 1 has 5 batch item(s), outside 1..=4",
+            ),
+            (
+                TraceRecord { function: 6, items: 1, ..TraceRecord::default() },
+                "record references function 6 outside the 6-entry table",
+            ),
+        ];
+        for (record, message) in cases {
+            let error = plan(&trace_with(record), &PlanOptions::default())
+                .expect_err("the record is outside the header's tables");
+            assert_eq!(error, message);
+        }
+        let valid = TraceRecord { tenant: 3, items: 4, function: 5, ..TraceRecord::default() };
+        assert!(plan(&trace_with(valid), &PlanOptions::default()).is_ok());
+
+        // Wider than any `u32` field: decoding must refuse, not wrap the
+        // value round into a valid tenant or function.
+        let cases = [
+            (TraceRecord { tenant: u32::MAX, items: 1, ..TraceRecord::default() }, (1 << 32) + 1),
+            (TraceRecord { function: u32::MAX, items: 1, ..TraceRecord::default() }, 1 << 32),
+        ];
+        for (record, wide) in cases {
+            let error = plan(&widened(trace_with(record), wide), &PlanOptions::default())
+                .expect_err("the field overflows u32");
+            assert!(
+                error.starts_with("trace records: record ")
+                    && error.contains(&format!(" {wide} overflows u32 at byte ")),
+                "{error}"
+            );
+        }
+    }
+
+    /// `trace` with its one `u32::MAX` varint widened to `wide` (which
+    /// must also encode in five bytes, so no offset moves) and the FNV-1a
+    /// trailer checksum resealed: bytes no `TraceWriter` emits, as a
+    /// corrupt or hand-made trace may carry them.
+    fn widened(mut trace: Vec<u8>, wide: u64) -> Vec<u8> {
+        let (mut sentinel, mut patch) = (Vec::new(), Vec::new());
+        put_varint(&mut sentinel, u64::from(u32::MAX));
+        put_varint(&mut patch, wide);
+        assert_eq!(patch.len(), sentinel.len());
+        let hits: Vec<_> = (0..=trace.len() - sentinel.len())
+            .filter(|&at| trace[at..].starts_with(&sentinel))
+            .collect();
+        assert_eq!(hits.len(), 1, "the sentinel must be unambiguous");
+        trace[hits[0]..hits[0] + patch.len()].copy_from_slice(&patch);
+        let body = trace.len() - 8;
+        let checksum = trace[..body].iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        trace[body..].copy_from_slice(&checksum.to_le_bytes());
+        trace
     }
 
     #[test]
